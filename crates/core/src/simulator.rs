@@ -519,10 +519,13 @@ impl Simulator {
                     });
                     let nodes_before = live_nodes;
                     let removed_before = stats.nodes_removed;
-                    if let Err(e) = self.truncate_state(&mut state, round_fidelity, &mut stats) {
-                        self.package.dec_ref(state);
-                        return Err(e);
-                    }
+                    live_nodes = match self.truncate_state(&mut state, round_fidelity, &mut stats) {
+                        Ok(size_after) => size_after,
+                        Err(e) => {
+                            self.package.dec_ref(state);
+                            return Err(e);
+                        }
+                    };
                     // A no-op round provably kept fidelity exactly 1 —
                     // charging its target to the floor would make
                     // budget policies burn budget on rounds that
@@ -530,7 +533,6 @@ impl Simulator {
                     if stats.nodes_removed > removed_before {
                         stats.fidelity_lower_bound *= round_fidelity;
                     }
-                    live_nodes = self.package.vsize(state);
                     self.emit(|| TraceEvent::Truncated {
                         op_index: i,
                         round: stats.approx_rounds,
@@ -645,12 +647,13 @@ impl Simulator {
     // internals
     // ------------------------------------------------------------------
 
+    /// One truncation round on `state`; returns the DD size after it.
     fn truncate_state(
         &mut self,
         state: &mut VEdge,
         round_fidelity: f64,
         stats: &mut SimStats,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let span = telemetry::Span::enter("dd.truncate");
         let budget = 1.0 - round_fidelity;
         let result = match self.options.primitive {
@@ -683,7 +686,7 @@ impl Simulator {
             "approxdd_truncated_nodes_total",
             result.removed_nodes as u64,
         );
-        Ok(())
+        Ok(result.size_after)
     }
 
     fn swap_root(&mut self, state: &mut VEdge, new_state: VEdge) {

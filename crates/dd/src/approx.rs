@@ -20,7 +20,6 @@ use approxdd_complex::Cplx;
 use crate::contribution::ContributionMap;
 use crate::edge::{NodeId, VEdge};
 use crate::error::DdError;
-use crate::fasthash::FxHashMap;
 use crate::package::Package;
 use crate::Result;
 
@@ -61,6 +60,37 @@ pub struct TruncationResult {
     pub size_after: usize,
 }
 
+/// Round state bits per analysis position (`TruncationScratch::flags`).
+const REMOVED: u8 = 1;
+/// Edge `i` of the node is cut: `CUT << i`.
+const CUT: u8 = 2;
+/// A removed node or a cut edge lies at or below the node.
+const DIRTY: u8 = 8;
+/// `memo` holds the node's rebuilt edge.
+const BUILT: u8 = 16;
+
+/// Scratch of a truncation round, owned by the [`Package`] and reused
+/// across rounds. The contribution map finds each node's position; the
+/// other arrays are indexed by that position, so a round writes only
+/// entries of its own diagram and costs O(DD size), not O(arena
+/// capacity).
+#[derive(Debug, Default)]
+pub(crate) struct TruncationScratch {
+    contribs: ContributionMap,
+    flags: Vec<u8>,
+    /// Rebuilt edge per position, valid where `flags` has `BUILT`.
+    memo: Vec<VEdge>,
+    /// Test-only reference mode: rebuild every node from scratch.
+    full_rebuild: bool,
+}
+
+/// What a round removes.
+enum Selection<'a> {
+    Strategy(RemovalStrategy),
+    Nodes(&'a [NodeId]),
+    Edges(f64),
+}
+
 impl Package {
     /// Edge-level truncation: zeroes individual *edges* (rather than
     /// whole nodes) in ascending order of their contribution — the
@@ -71,6 +101,7 @@ impl Package {
     /// path at the cost of (usually) smaller size reductions. One of
     /// the approximation schemes of Zulehner, Hillmich, Markov, Wille
     /// (ASP-DAC 2020), the primitive the reproduced paper builds on.
+    /// [`TruncationResult::removed_nodes`] counts the cut edges.
     ///
     /// # Errors
     ///
@@ -81,97 +112,7 @@ impl Package {
                 reason: "truncation budget must lie in [0, 1)",
             });
         }
-        if root.is_zero(self.tolerance()) {
-            return Err(DdError::InvalidParameter {
-                reason: "cannot truncate the zero state",
-            });
-        }
-        let contribs = self.contributions(root);
-        let size_before = contribs.node_count();
-
-        // Contribution of edge (parent, which): upstream(parent)·|w|²
-        // (child subtrees have unit norm).
-        let mut edges: Vec<(NodeId, u8, f64)> = Vec::new();
-        for (node, up) in contribs.iter() {
-            let n = *self.vnode(node);
-            for (i, e) in n.edges.iter().enumerate() {
-                if !e.is_zero(self.tolerance()) {
-                    edges.push((node, i as u8, up * e.w.mag2()));
-                }
-            }
-        }
-        edges.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap().then(a.0.cmp(&b.0)));
-
-        let mut cut: FxHashMap<(NodeId, u8), ()> = FxHashMap::default();
-        let mut spent = 0.0;
-        for (node, which, c) in edges {
-            if spent + c > budget {
-                break;
-            }
-            spent += c;
-            cut.insert((node, which), ());
-        }
-        if cut.is_empty() {
-            return Ok(TruncationResult {
-                edge: root,
-                fidelity: 1.0,
-                removed_nodes: 0,
-                size_before,
-                size_after: size_before,
-            });
-        }
-
-        // Rebuild with cut edges zeroed. Memoization must key on the
-        // *path-relevant* identity of a node, which here is the node id
-        // itself (the cut set is per (node, edge) and applies on every
-        // path reaching the node).
-        let mut memo: FxHashMap<NodeId, VEdge> = FxHashMap::default();
-        let rebuilt = self.rebuild_cut_edges(root.node, &cut, &mut memo);
-        let kept = rebuilt.w.mag2();
-        if kept <= 0.0 || rebuilt.is_zero(self.tolerance()) {
-            return Err(DdError::InvalidParameter {
-                reason: "edge cut annihilates the entire state",
-            });
-        }
-        let fidelity = kept.min(1.0);
-        let edge = VEdge {
-            w: root.w * rebuilt.w / Cplx::real(kept.sqrt()),
-            node: rebuilt.node,
-        };
-        let size_after = self.vsize(edge);
-        Ok(TruncationResult {
-            edge,
-            fidelity,
-            removed_nodes: cut.len(),
-            size_before,
-            size_after,
-        })
-    }
-
-    fn rebuild_cut_edges(
-        &mut self,
-        node: NodeId,
-        cut: &FxHashMap<(NodeId, u8), ()>,
-        memo: &mut FxHashMap<NodeId, VEdge>,
-    ) -> VEdge {
-        if node.is_terminal() {
-            return VEdge::ONE;
-        }
-        if let Some(&e) = memo.get(&node) {
-            return e;
-        }
-        let n = *self.vnode(node);
-        let mut children = [VEdge::ZERO; 2];
-        for (i, c) in n.edges.iter().enumerate() {
-            if c.is_zero(self.tolerance()) || cut.contains_key(&(node, i as u8)) {
-                continue;
-            }
-            let sub = self.rebuild_cut_edges(c.node, cut, memo);
-            children[i] = sub.scaled(c.w);
-        }
-        let e = self.make_vnode(n.var, children[0], children[1]);
-        memo.insert(node, e);
-        e
+        self.truncate_round(root, Selection::Edges(budget))
     }
 
     /// Performs one truncation round on a unit-norm state.
@@ -204,43 +145,83 @@ impl Package {
             }
             _ => {}
         }
-        if root.is_zero(self.tolerance()) {
-            return Err(DdError::InvalidParameter {
-                reason: "cannot truncate the zero state",
-            });
-        }
-        let contribs = self.contributions(root);
-        let removal = select_nodes(&contribs, root.node, strategy);
-        self.truncate_with_set(root, &contribs, &removal)
+        self.truncate_round(root, Selection::Strategy(strategy))
     }
 
     /// Performs one truncation round removing exactly the given node set
     /// (which must not contain the root). Exposed for custom selection
-    /// policies and for the test-suite.
+    /// policies and for the test-suite. Ids that are not nodes of the
+    /// diagram are ignored.
     ///
     /// # Errors
     ///
     /// [`DdError::InvalidParameter`] if the set contains the root or if
     /// removal would annihilate the entire state.
     pub fn truncate_nodes(&mut self, root: VEdge, nodes: &[NodeId]) -> Result<TruncationResult> {
-        let contribs = self.contributions(root);
-        let set: FxHashMap<NodeId, ()> = nodes.iter().map(|n| (*n, ())).collect();
-        if set.contains_key(&root.node) {
+        if nodes.contains(&root.node) {
             return Err(DdError::InvalidParameter {
                 reason: "cannot remove the root node",
             });
         }
-        self.truncate_with_set(root, &contribs, &set)
+        self.truncate_round(root, Selection::Nodes(nodes))
     }
 
-    fn truncate_with_set(
+    /// Switches the package's truncation rounds to the from-scratch
+    /// reference rebuild, which re-normalizes every kept node instead of
+    /// only the ancestors of removed nodes and cut edges. For tests that
+    /// compare the two rebuilds.
+    #[doc(hidden)]
+    pub fn set_reference_rebuild(&mut self, on: bool) {
+        self.truncation.full_rebuild = on;
+    }
+
+    fn truncate_round(
         &mut self,
         root: VEdge,
-        contribs: &ContributionMap,
-        removal: &FxHashMap<NodeId, ()>,
+        selection: Selection<'_>,
     ) -> Result<TruncationResult> {
-        let size_before = contribs.node_count();
-        if removal.is_empty() {
+        if root.is_zero(self.tolerance()) {
+            return Err(DdError::InvalidParameter {
+                reason: "cannot truncate the zero state",
+            });
+        }
+        let mut scratch = std::mem::take(&mut self.truncation);
+        let result = self.truncate_with(root, selection, &mut scratch);
+        self.truncation = scratch;
+        result
+    }
+
+    fn truncate_with(
+        &mut self,
+        root: VEdge,
+        selection: Selection<'_>,
+        s: &mut TruncationScratch,
+    ) -> Result<TruncationResult> {
+        s.contribs.fill(self, root);
+        let size_before = s.contribs.node_count();
+        s.flags.clear();
+        s.flags.resize(size_before, 0);
+        if s.memo.len() < size_before {
+            s.memo.resize(size_before, VEdge::ZERO);
+        }
+
+        let removed = match selection {
+            Selection::Strategy(strategy) => {
+                select_nodes(&s.contribs, root.node, strategy, &mut s.flags)
+            }
+            Selection::Nodes(nodes) => {
+                let mut count = 0;
+                for pos in nodes.iter().filter_map(|&id| s.contribs.position(id)) {
+                    if s.flags[pos] == 0 {
+                        s.flags[pos] = REMOVED;
+                        count += 1;
+                    }
+                }
+                count
+            }
+            Selection::Edges(budget) => self.select_edges(&s.contribs, budget, &mut s.flags),
+        };
+        if removed == 0 {
             return Ok(TruncationResult {
                 edge: root,
                 fidelity: 1.0,
@@ -250,110 +231,180 @@ impl Package {
             });
         }
 
-        let mut memo: FxHashMap<NodeId, VEdge> = FxHashMap::default();
-        let rebuilt = self.rebuild_without(root.node, removal, &mut memo);
+        // Bottom-up (children sit at higher positions than their
+        // parents): a node is dirty if one of its edges is cut or leads
+        // to a removed or dirty node. Clean nodes keep their (unit-norm,
+        // unchanged) subtree and are reused as they are.
+        for (pos, (id, _)) in s.contribs.iter().enumerate().rev() {
+            let f = s.flags[pos];
+            if f & REMOVED != 0 {
+                continue;
+            }
+            let below_changed = self.vnode(id).edges.iter().any(|c| {
+                !c.node.is_terminal()
+                    && s.flags[position(&s.contribs, c.node)] & (REMOVED | DIRTY) != 0
+            });
+            if s.full_rebuild || below_changed || f & (CUT | CUT << 1) != 0 {
+                s.flags[pos] = f | DIRTY;
+            }
+        }
+
+        let rebuilt = self.rebuild(root.node, s);
         // Kept squared norm = |rebuilt.w|² (the input subtree had unit
         // norm); this *is* the exact round fidelity.
         let kept = rebuilt.w.mag2();
         if kept <= 0.0 || rebuilt.is_zero(self.tolerance()) {
             return Err(DdError::InvalidParameter {
-                reason: "removal set annihilates the entire state",
+                reason: "removal annihilates the entire state",
             });
         }
-        let fidelity = kept.min(1.0);
         // Rescale to unit norm, preserving the phase of the original root
         // weight (Equation 1 rescales by the positive real norm).
-        let new_w = root.w * rebuilt.w / Cplx::real(kept.sqrt());
         let edge = VEdge {
-            w: new_w,
+            w: root.w * rebuilt.w / Cplx::real(kept.sqrt()),
             node: rebuilt.node,
         };
-        let size_after = self.vsize(edge);
         Ok(TruncationResult {
             edge,
-            fidelity,
-            removed_nodes: removal.len(),
+            fidelity: kept.min(1.0),
+            removed_nodes: removed,
             size_before,
-            size_after,
+            size_after: self.vsize(edge),
         })
     }
 
-    fn rebuild_without(
-        &mut self,
-        node: NodeId,
-        removal: &FxHashMap<NodeId, ()>,
-        memo: &mut FxHashMap<NodeId, VEdge>,
-    ) -> VEdge {
+    /// The subtree of `node` with removed nodes and cut edges zeroed,
+    /// unnormalized: its weight's squared magnitude is the kept mass.
+    fn rebuild(&mut self, node: NodeId, s: &mut TruncationScratch) -> VEdge {
         if node.is_terminal() {
             return VEdge::ONE;
         }
-        if removal.contains_key(&node) {
+        let pos = position(&s.contribs, node);
+        let f = s.flags[pos];
+        if f & REMOVED != 0 {
             return VEdge::ZERO;
         }
-        if let Some(&e) = memo.get(&node) {
-            return e;
+        if f & DIRTY == 0 {
+            return VEdge { w: Cplx::ONE, node };
+        }
+        if f & BUILT != 0 {
+            return s.memo[pos];
         }
         let n = *self.vnode(node);
         let mut children = [VEdge::ZERO; 2];
         for (i, c) in n.edges.iter().enumerate() {
-            if c.is_zero(self.tolerance()) {
+            if c.is_zero(self.tolerance()) || f & (CUT << i) != 0 {
                 continue;
             }
-            let sub = self.rebuild_without(c.node, removal, memo);
-            children[i] = sub.scaled(c.w);
+            children[i] = self.rebuild(c.node, s).scaled(c.w);
         }
         let e = self.make_vnode(n.var, children[0], children[1]);
-        memo.insert(node, e);
+        s.memo[pos] = e;
+        s.flags[pos] = f | BUILT;
         e
+    }
+
+    /// Marks the edges the greedy budget walk cuts; returns their count.
+    /// The contribution of edge `(parent, i)` is `upstream(parent)·|wᵢ|²`
+    /// (child subtrees have unit norm).
+    fn select_edges(&self, contribs: &ContributionMap, budget: f64, flags: &mut [u8]) -> usize {
+        let mut candidates = Vec::new();
+        for (pos, (node, up)) in contribs.iter().enumerate() {
+            for (i, e) in self.vnode(node).edges.iter().enumerate() {
+                let c = up * e.w.mag2();
+                if !e.is_zero(self.tolerance()) && c <= budget {
+                    candidates.push((c, (node, i, pos)));
+                }
+            }
+        }
+        let mut count = 0;
+        for (_, i, pos) in within_budget(candidates, budget) {
+            flags[pos] |= CUT << i;
+            count += 1;
+        }
+        count
     }
 }
 
-/// Selects nodes according to the strategy; never selects the root.
+/// The position of a node of the analyzed diagram.
+fn position(contribs: &ContributionMap, node: NodeId) -> usize {
+    contribs
+        .position(node)
+        .expect("node belongs to the analyzed diagram")
+}
+
+/// The greedy walk of Section IV-A: items in ascending (contribution,
+/// key) order, stopping at the first one that would overspend `budget`.
+///
+/// Contributions are non-negative, so an item above the budget can never
+/// be taken (callers pass only items within it), and once the `m`
+/// smallest items sum past the budget the walk stops among them. Only
+/// that prefix is sorted; it is found by partial selection over growing
+/// `m`. The sum's margin covers summation order (≤ m·ε relative), so the
+/// taken set is exactly that of a walk over the fully sorted items.
+fn within_budget<K: Ord + Copy>(mut items: Vec<(f64, K)>, budget: f64) -> impl Iterator<Item = K> {
+    let order = |a: &(f64, K), b: &(f64, K)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    let mut m = 1024;
+    while m < items.len() {
+        items.select_nth_unstable_by(m, order);
+        if items[..m].iter().map(|item| item.0).sum::<f64>() > budget * (1.0 + 1e-6) {
+            items.truncate(m);
+            break;
+        }
+        m *= 4;
+    }
+    items.sort_unstable_by(order);
+    let mut spent = 0.0;
+    items.into_iter().map_while(move |(c, key)| {
+        if spent + c > budget {
+            return None;
+        }
+        spent += c;
+        Some(key)
+    })
+}
+
+/// Marks (per position) the nodes `strategy` removes; never the root.
+/// Returns their count.
 fn select_nodes(
     contribs: &ContributionMap,
     root: NodeId,
     strategy: RemovalStrategy,
-) -> FxHashMap<NodeId, ()> {
-    let mut set: FxHashMap<NodeId, ()> = FxHashMap::default();
-    match strategy {
+    flags: &mut [u8],
+) -> usize {
+    let removed: Vec<usize> = match strategy {
         RemovalStrategy::Budget(budget) => {
-            let mut spent = 0.0;
-            for (node, c) in contribs.sorted_ascending() {
-                if node == root {
-                    continue;
-                }
-                if spent + c > budget {
-                    break;
-                }
-                spent += c;
-                set.insert(node, ());
-            }
+            let candidates = contribs
+                .iter()
+                .enumerate()
+                .filter(|&(_, (node, c))| node != root && c <= budget)
+                .map(|(pos, (node, c))| (c, (node, pos)))
+                .collect();
+            within_budget(candidates, budget)
+                .map(|(_, pos)| pos)
+                .collect()
         }
-        RemovalStrategy::Threshold(t) => {
-            for (node, c) in contribs.iter() {
-                if node != root && c < t {
-                    set.insert(node, ());
-                }
-            }
-        }
+        RemovalStrategy::Threshold(t) => contribs
+            .iter()
+            .enumerate()
+            .filter(|&(_, (node, c))| node != root && c < t)
+            .map(|(pos, _)| pos)
+            .collect(),
         RemovalStrategy::KeepNodes(target) => {
-            let total = contribs.node_count();
-            if total > target {
-                let mut to_remove = total - target;
-                for (node, _) in contribs.sorted_ascending() {
-                    if to_remove == 0 {
-                        break;
-                    }
-                    if node == root {
-                        continue;
-                    }
-                    set.insert(node, ());
-                    to_remove -= 1;
-                }
-            }
+            let surplus = contribs.node_count().saturating_sub(target);
+            contribs
+                .sorted_ascending()
+                .into_iter()
+                .filter(|&(node, _)| node != root)
+                .take(surplus)
+                .map(|(node, _)| position(contribs, node))
+                .collect()
         }
+    };
+    for &pos in &removed {
+        flags[pos] = REMOVED;
     }
-    set
+    removed.len()
 }
 
 #[cfg(test)]
@@ -576,6 +627,89 @@ mod tests {
         assert!(
             (f_total - f_rounds).abs() < 1e-10,
             "Lemma 1 violated: total {f_total} vs product {f_rounds}"
+        );
+    }
+
+    /// The selected set of the Section IV-A greedy walk over the *full*
+    /// ascending order, root skipped.
+    fn full_sort_budget_walk(cm: &ContributionMap, root: NodeId, budget: f64) -> Vec<NodeId> {
+        let mut spent = 0.0;
+        let mut picked = Vec::new();
+        for (node, c) in cm.sorted_ascending() {
+            if node == root {
+                continue;
+            }
+            if spent + c > budget {
+                break;
+            }
+            spent += c;
+            picked.push(node);
+        }
+        picked.sort_unstable();
+        picked
+    }
+
+    #[test]
+    fn budget_filtered_selection_matches_full_sort_walk() {
+        // Random states, states with many equal contributions (amplitudes
+        // from {0, ±1}) so ties are broken by node id, and GHZ-like
+        // superpositions of a few basis states. The 11- and 12-qubit states
+        // have more candidates than the first partial selection takes.
+        let mut seed = 0x5EED_u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            seed >> 33
+        };
+        let mut p = Package::new();
+        let mut states = Vec::new();
+        for n in (1..=8usize).chain([11, 12]) {
+            let dim = 1usize << n;
+            let random: Vec<f64> = (0..dim).map(|_| next() as f64 + 1.0).collect();
+            let ties: Vec<f64> = (0..dim)
+                .map(|_| [0.0, 1.0, -1.0][next() as usize % 3])
+                .collect();
+            let mut ghz = vec![0.0; dim];
+            ghz[0] = 1.0;
+            ghz[dim - 1] = 1.0;
+            ghz[next() as usize % dim] = 1.0;
+            for raw in [random, ties, ghz] {
+                let norm = raw.iter().map(|x| x * x).sum::<f64>().sqrt();
+                if norm == 0.0 {
+                    continue;
+                }
+                let amps: Vec<Cplx> = raw.iter().map(|x| Cplx::real(x / norm)).collect();
+                states.push(p.from_amplitudes(&amps).unwrap());
+            }
+        }
+        states.push(p.basis_state(6, 0b101_101));
+        let mut nontrivial = 0;
+        for root in states {
+            let cm = p.contributions(root);
+            for budget in [0.0, 1e-3, 0.01, 0.05, 0.1, 0.125, 0.25, 0.5, 0.75, 0.999] {
+                let mut flags = vec![0u8; cm.node_count()];
+                let count =
+                    select_nodes(&cm, root.node, RemovalStrategy::Budget(budget), &mut flags);
+                let mut picked: Vec<NodeId> = cm
+                    .iter()
+                    .zip(&flags)
+                    .filter(|&(_, &f)| f == REMOVED)
+                    .map(|((n, _), _)| n)
+                    .collect();
+                picked.sort_unstable();
+                assert_eq!(count, picked.len());
+                assert_eq!(
+                    picked,
+                    full_sort_budget_walk(&cm, root.node, budget),
+                    "budget {budget}"
+                );
+                nontrivial += usize::from(count > 0);
+            }
+        }
+        assert!(
+            nontrivial > 50,
+            "only {nontrivial} selections removed anything"
         );
     }
 }

@@ -276,7 +276,6 @@ impl<T> Arena<T> {
 
     /// Total slots (alive + freed) across both tiers, i.e. the arena's
     /// addressable footprint.
-    #[allow(dead_code)] // diagnostics
     pub(crate) fn capacity(&self) -> usize {
         self.watermark as usize + self.items.len()
     }

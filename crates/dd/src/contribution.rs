@@ -10,40 +10,60 @@
 //! (asserted by the paper after Definition 2 and property-tested here).
 
 use crate::edge::{NodeId, VEdge};
-use crate::fasthash::FxHashMap;
 use crate::package::Package;
 
 /// The result of a contribution analysis: per-node contributions plus
 /// the level structure of the analyzed DD.
 ///
+/// Nodes and contributions live in dense arrays sized by the diagram,
+/// found from an arena id through one array indexed by arena id (a
+/// sparse set). Refilling the map for another diagram therefore touches
+/// only that diagram's ids, and positions left over from earlier
+/// analyses need no clearing. A package keeps one map as truncation
+/// scratch and refills it every round.
+///
 /// Obtain via [`Package::contributions`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ContributionMap {
-    /// Contribution per node id.
-    contrib: FxHashMap<NodeId, f64>,
-    /// Nodes grouped by level (`levels[var]`), each level sorted by id
-    /// for determinism.
-    levels: Vec<Vec<NodeId>>,
+    /// Position in `entries` per arena id: `id` belongs to the analyzed
+    /// diagram iff `entries[slot[id]].0 == id`.
+    slot: Vec<u32>,
+    /// `(node, contribution)` for every node, level by level from the
+    /// top (the root is position 0), each level sorted by id for
+    /// determinism.
+    entries: Vec<(NodeId, f64)>,
+    /// The node column of `entries`, for [`ContributionMap::level`].
+    ids: Vec<NodeId>,
+    /// Position range of level `var` in `entries`.
+    levels: Vec<(usize, usize)>,
 }
 
 impl ContributionMap {
+    /// The position of `node` in the analysis, if it belongs to it.
+    pub(crate) fn position(&self, node: NodeId) -> Option<usize> {
+        let pos = *self.slot.get(node.0 as usize)? as usize;
+        (self.entries.get(pos)?.0 == node).then_some(pos)
+    }
+
     /// The contribution of `node`, or 0 if the node is not part of the
     /// analyzed diagram.
     #[must_use]
     pub fn contribution(&self, node: NodeId) -> f64 {
-        self.contrib.get(&node).copied().unwrap_or(0.0)
+        self.position(node).map_or(0.0, |pos| self.entries[pos].1)
     }
 
     /// Number of distinct non-terminal nodes in the analyzed diagram.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.contrib.len()
+        self.entries.len()
     }
 
     /// Nodes on level `var` (empty for out-of-range levels).
     #[must_use]
     pub fn level(&self, var: usize) -> &[NodeId] {
-        self.levels.get(var).map_or(&[], Vec::as_slice)
+        self.levels
+            .get(var)
+            .map_or(&[], |&(start, end)| &self.ids[start..end])
     }
 
     /// Number of levels (the qubit count of the analyzed state).
@@ -56,7 +76,9 @@ impl ContributionMap {
     /// the analyzed state (1 for a unit state) for every populated level.
     #[must_use]
     pub fn level_sum(&self, var: usize) -> f64 {
-        self.level(var).iter().map(|n| self.contribution(*n)).sum()
+        self.levels.get(var).map_or(0.0, |&(start, end)| {
+            self.entries[start..end].iter().map(|e| e.1).sum()
+        })
     }
 
     /// All `(node, contribution)` pairs sorted ascending by contribution
@@ -64,14 +86,66 @@ impl ContributionMap {
     /// selection of Section IV-A consumes this order.
     #[must_use]
     pub fn sorted_ascending(&self) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = self.contrib.iter().map(|(n, c)| (*n, *c)).collect();
-        v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        let mut v = self.entries.clone();
+        v.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         v
     }
 
-    /// Iterates over `(node, contribution)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.contrib.iter().map(|(n, c)| (*n, *c))
+    /// Iterates over `(node, contribution)` pairs, top level first; the
+    /// index of a pair is the node's position.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (NodeId, f64)> + ExactSizeIterator + '_ {
+        self.entries.iter().copied()
+    }
+
+    /// Recomputes the map for the diagram under `root` in one top-down
+    /// pass: a level is complete once the level above it has been
+    /// processed (edges descend exactly one level), so discovery and the
+    /// accumulation of squared path weights share the walk. Each node's
+    /// subtree has unit norm (normalization invariant), so the
+    /// accumulated upstream mass *is* the contribution.
+    pub(crate) fn fill(&mut self, p: &Package, root: VEdge) {
+        self.entries.clear();
+        self.ids.clear();
+        self.levels.clear();
+        if root.node.is_terminal() {
+            return;
+        }
+        let capacity = p.vnodes.capacity();
+        if self.slot.len() < capacity {
+            // Stored positions are never trusted, so growth copies
+            // nothing, and fresh zeroed pages are committed only where
+            // a node id touches them.
+            self.slot = vec![0; capacity.next_power_of_two()];
+        }
+        let n_levels = p.vlevel(root);
+        self.levels.resize(n_levels, (0, 0));
+        self.slot[root.node.0 as usize] = 0;
+        self.entries.push((root.node, root.w.mag2()));
+        let mut start = 0;
+        for var in (0..n_levels).rev() {
+            let end = self.entries.len();
+            self.entries[start..end].sort_unstable_by_key(|e| e.0);
+            for (pos, &(id, _)) in self.entries.iter().enumerate().skip(start) {
+                self.slot[id.0 as usize] = pos as u32;
+                self.ids.push(id);
+            }
+            self.levels[var] = (start, end);
+            for pos in start..end {
+                let (id, up) = self.entries[pos];
+                for child in p.vnode(id).edges {
+                    if child.node.is_terminal() {
+                        continue;
+                    }
+                    let child_pos = self.position(child.node).unwrap_or_else(|| {
+                        self.slot[child.node.0 as usize] = self.entries.len() as u32;
+                        self.entries.push((child.node, 0.0));
+                        self.entries.len() - 1
+                    });
+                    self.entries[child_pos].1 += up * child.w.mag2();
+                }
+            }
+            start = end;
+        }
     }
 }
 
@@ -83,49 +157,9 @@ impl Package {
     /// general vector the "contributions" are scaled by the squared norm.
     #[must_use]
     pub fn contributions(&self, root: VEdge) -> ContributionMap {
-        let mut contrib: FxHashMap<NodeId, f64> = FxHashMap::default();
-        let n_levels = self.vlevel(root);
-        let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); n_levels];
-        if root.node.is_terminal() {
-            return ContributionMap { contrib, levels };
-        }
-
-        // Discover nodes per level.
-        {
-            let mut stack = vec![root.node];
-            let mut seen: FxHashMap<NodeId, ()> = FxHashMap::default();
-            while let Some(id) = stack.pop() {
-                if id.is_terminal() || seen.insert(id, ()).is_some() {
-                    continue;
-                }
-                let node = self.vnode(id);
-                levels[usize::from(node.var)].push(id);
-                stack.push(node.edges[0].node);
-                stack.push(node.edges[1].node);
-            }
-        }
-        for level in &mut levels {
-            level.sort_unstable();
-        }
-
-        // Top-down accumulation of squared path weights. Each node's
-        // subtree has unit norm (normalization invariant), so the
-        // accumulated upstream mass *is* the contribution.
-        contrib.insert(root.node, root.w.mag2());
-        for var in (0..n_levels).rev() {
-            for &id in &levels[var] {
-                let up = contrib.get(&id).copied().unwrap_or(0.0);
-                let node = self.vnode(id);
-                for child in node.edges {
-                    if child.node.is_terminal() {
-                        continue;
-                    }
-                    *contrib.entry(child.node).or_insert(0.0) += up * child.w.mag2();
-                }
-            }
-        }
-
-        ContributionMap { contrib, levels }
+        let mut map = ContributionMap::default();
+        map.fill(self, root);
+        map
     }
 }
 

@@ -223,6 +223,8 @@ pub struct Package {
     /// (height `k`); entry 0 is the terminal edge.
     pub(crate) ident_cache: Vec<MEdge>,
     pub(crate) stats: PackageStats,
+    /// Id-indexed scratch reused by every truncation round.
+    pub(crate) truncation: crate::approx::TruncationScratch,
 }
 
 impl Package {
@@ -279,6 +281,7 @@ impl Package {
             ct_inner: ComputeCache::new(bits, no_key2, Cplx::ZERO),
             ident_cache: vec![MEdge::ONE],
             stats: PackageStats::default(),
+            truncation: Default::default(),
         }
     }
 
@@ -569,11 +572,17 @@ impl Package {
     /// # Errors
     ///
     /// [`DdError::InvalidAmplitudes`] if the length is not a power of two
-    /// or zero; [`DdError::TooManyQubits`] beyond 26 qubits.
+    /// or zero, or if an amplitude is NaN or infinite;
+    /// [`DdError::TooManyQubits`] beyond 26 qubits.
     pub fn from_amplitudes(&mut self, amps: &[Cplx]) -> Result<VEdge> {
         if amps.is_empty() || !amps.len().is_power_of_two() {
             return Err(DdError::InvalidAmplitudes {
                 reason: "length must be a non-zero power of two",
+            });
+        }
+        if !amps.iter().all(|a| a.is_finite()) {
+            return Err(DdError::InvalidAmplitudes {
+                reason: "amplitudes must be finite",
             });
         }
         let n = amps.len().trailing_zeros() as usize;
@@ -668,40 +677,17 @@ impl Package {
     /// "DD size" that the memory-driven strategy thresholds on.
     #[must_use]
     pub fn vsize(&self, e: VEdge) -> usize {
-        let mut seen =
-            std::collections::HashSet::with_hasher(crate::fasthash::FxBuildHasher::default());
-        let mut stack = vec![e.node];
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.insert(id) {
-                continue;
-            }
-            count += 1;
-            let node = self.vnode(id);
-            stack.push(node.edges[0].node);
-            stack.push(node.edges[1].node);
-        }
-        count
+        count_reachable(self.vnodes.capacity(), e.node, |id| {
+            self.vnode(id).edges.map(|c| c.node)
+        })
     }
 
     /// Number of non-terminal nodes reachable from a matrix edge.
     #[must_use]
     pub fn msize(&self, e: MEdge) -> usize {
-        let mut seen =
-            std::collections::HashSet::with_hasher(crate::fasthash::FxBuildHasher::default());
-        let mut stack = vec![e.node];
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.insert(id) {
-                continue;
-            }
-            count += 1;
-            let node = self.mnode(id);
-            for c in node.edges {
-                stack.push(c.node);
-            }
-        }
-        count
+        count_reachable(self.mnodes.capacity(), e.node, |id| {
+            self.mnode(id).edges.map(|c| c.node)
+        })
     }
 
     /// ℓ2 norm of the represented vector. With this crate's normalization
@@ -774,6 +760,31 @@ impl Package {
     }
 }
 
+/// Distinct non-terminal nodes reachable from `root` in an arena of
+/// `capacity` slots, tracked in an id-indexed bitset.
+fn count_reachable<const K: usize>(
+    capacity: usize,
+    root: NodeId,
+    children: impl Fn(NodeId) -> [NodeId; K],
+) -> usize {
+    let mut seen = vec![0u64; capacity.div_ceil(64)];
+    let mut stack = vec![root];
+    let mut count = 0;
+    while let Some(id) = stack.pop() {
+        if id.is_terminal() {
+            continue;
+        }
+        let (word, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
+        if seen[word] & bit != 0 {
+            continue;
+        }
+        seen[word] |= bit;
+        count += 1;
+        stack.extend(children(id));
+    }
+    count
+}
+
 impl Default for Package {
     fn default() -> Self {
         Self::new()
@@ -836,6 +847,32 @@ mod tests {
             p.from_amplitudes(&[Cplx::ONE; 3]),
             Err(DdError::InvalidAmplitudes { .. })
         ));
+    }
+
+    #[test]
+    fn from_amplitudes_rejects_non_finite_values() {
+        let mut p = Package::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for amps in [
+                [
+                    Cplx::real(bad),
+                    Cplx::real(0.5),
+                    Cplx::real(0.5),
+                    Cplx::real(0.5),
+                ],
+                [
+                    Cplx::real(0.5),
+                    Cplx::real(0.5),
+                    Cplx::new(0.5, bad),
+                    Cplx::real(0.5),
+                ],
+            ] {
+                assert!(matches!(
+                    p.from_amplitudes(&amps),
+                    Err(DdError::InvalidAmplitudes { .. })
+                ));
+            }
+        }
     }
 
     #[test]

@@ -168,6 +168,7 @@ impl Package {
             ct_inner: ComputeCache::new(bits, no_key2, Cplx::ZERO),
             ident_cache: snapshot.ident_cache.clone(),
             stats: PackageStats::default(),
+            truncation: Default::default(),
         }
     }
 }

@@ -3,7 +3,7 @@
 //! of constructed gates, and the approximation guarantees.
 
 use approxdd_complex::Cplx;
-use approxdd_dd::{GateKind, Package, RemovalStrategy};
+use approxdd_dd::{GateKind, NodeId, Package, RemovalStrategy, TruncationResult, VEdge};
 use proptest::prelude::*;
 
 /// A random complex amplitude vector of dimension `2^n`, normalized.
@@ -27,6 +27,79 @@ fn unit_state(n: usize) -> impl Strategy<Value = Vec<Cplx>> {
             )
         },
     )
+}
+
+/// SplitMix64: a stateless stream of test randomness from one seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A unit state on `n` qubits drawn from `seed`, of one of three kinds:
+/// continuous random amplitudes; amplitudes from {0, ±1, ±i} (many
+/// equal contributions); or an equal superposition of a few basis
+/// states (GHZ-like, down to a single basis state).
+fn seeded_state(n: usize, kind: usize, seed: u64) -> Vec<Cplx> {
+    let mut s = seed;
+    let dim = 1usize << n;
+    let mut amps: Vec<Cplx> = match kind {
+        0 => (0..dim)
+            .map(|_| {
+                let re = (splitmix(&mut s) >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                let im = (splitmix(&mut s) >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                Cplx::new(re, im)
+            })
+            .collect(),
+        1 => (0..dim)
+            .map(|_| [Cplx::ZERO, Cplx::ONE, -Cplx::ONE, Cplx::I][(splitmix(&mut s) % 4) as usize])
+            .collect(),
+        _ => {
+            let mut v = vec![Cplx::ZERO; dim];
+            for _ in 0..1 + splitmix(&mut s) % 4 {
+                v[(splitmix(&mut s) % dim as u64) as usize] = Cplx::ONE;
+            }
+            v
+        }
+    };
+    if amps.iter().all(|a| a.mag2() == 0.0) {
+        amps[0] = Cplx::ONE;
+    }
+    let norm = amps.iter().map(|a| a.mag2()).sum::<f64>().sqrt();
+    amps.into_iter().map(|a| a / norm).collect()
+}
+
+/// One truncation round of a given primitive, run identically on two
+/// packages that hold the same state under the same node ids.
+#[derive(Debug, Clone, Copy)]
+enum Round {
+    Budget(f64),
+    Edges(f64),
+    /// Remove each non-root node with probability 1/`one_in`, drawn
+    /// from the seed.
+    Nodes {
+        seed: u64,
+        one_in: u64,
+    },
+}
+
+impl Round {
+    fn run(self, p: &mut Package, root: VEdge) -> Result<TruncationResult, approxdd_dd::DdError> {
+        match self {
+            Round::Budget(b) => p.truncate(root, RemovalStrategy::Budget(b)),
+            Round::Edges(b) => p.truncate_edges(root, b),
+            Round::Nodes { mut seed, one_in } => {
+                let cm = p.contributions(root);
+                let victims: Vec<NodeId> = (0..cm.level_count())
+                    .flat_map(|var| cm.level(var).to_vec())
+                    .filter(|&id| id != root.node && splitmix(&mut seed).is_multiple_of(one_in))
+                    .collect();
+                p.truncate_nodes(root, &victims)
+            }
+        }
+    }
 }
 
 /// A random single-qubit gate from the full alphabet.
@@ -208,6 +281,96 @@ proptest! {
                 let got = dense[(i << 2) | j];
                 prop_assert!((got - want).mag() < 1e-9, "({i},{j})");
             }
+        }
+    }
+
+    #[test]
+    fn dirty_ancestor_rebuild_matches_reference_rebuild(
+        n in 1usize..11,
+        kind in 0usize..3,
+        seed in any::<u64>(),
+        primitive in 0usize..3,
+        budget in 0.0f64..0.6
+    ) {
+        let amps = seeded_state(n, kind, seed);
+        let round = match primitive {
+            0 => Round::Budget(budget),
+            1 => Round::Edges(budget),
+            _ => Round::Nodes { seed, one_in: 2 + seed % 8 },
+        };
+        // Identical construction sequences give identical node ids, so
+        // both packages select the same nodes and edges.
+        let mut fast = Package::new();
+        let mut reference = Package::new();
+        reference.set_reference_rebuild(true);
+        let root = fast.from_amplitudes(&amps).unwrap();
+        let ref_root = reference.from_amplitudes(&amps).unwrap();
+        prop_assert_eq!(root, ref_root);
+        fast.inc_ref(root);
+        reference.inc_ref(ref_root);
+
+        let (got, want) = match (round.run(&mut fast, root), round.run(&mut reference, ref_root)) {
+            (Ok(got), Ok(want)) => (got, want),
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(a, b);
+                return Ok(());
+            }
+            (a, b) => {
+                return Err(TestCaseError::Fail(format!(
+                    "{round:?}: fast {a:?} vs reference {b:?}"
+                )));
+            }
+        };
+        prop_assert_eq!(got.removed_nodes, want.removed_nodes);
+        prop_assert_eq!(got.size_before, want.size_before);
+        let got_amps = fast.to_amplitudes(got.edge, n).unwrap();
+        let want_amps = reference.to_amplitudes(want.edge, n).unwrap();
+        for (i, (a, b)) in got_amps.iter().zip(&want_amps).enumerate() {
+            prop_assert!((*a - *b).mag() < 1e-12, "{round:?}: amplitude {i}: {a} vs {b}");
+        }
+        let measured = fast.fidelity(root, got.edge);
+        prop_assert!(
+            (measured - got.fidelity).abs() < 1e-10,
+            "{round:?}: reported {} vs measured {measured}",
+            got.fidelity
+        );
+        prop_assert_eq!(got.size_after, fast.vsize(got.edge));
+        let norm2: f64 = got_amps.iter().map(|a| a.mag2()).sum();
+        prop_assert!((norm2 - 1.0).abs() < 1e-10, "{round:?}: squared norm {norm2}");
+    }
+
+    #[test]
+    fn chained_rounds_with_gc_match_fresh_packages(
+        n in 6usize..11,
+        seed in any::<u64>(),
+        edges in any::<bool>()
+    ) {
+        // A package reuses its truncation scratch across rounds, and GC
+        // recycles the ids of earlier rounds' diagrams. Each round must
+        // still equal the same round on a fresh package holding the same
+        // state (continuous random amplitudes: no contribution ties, so
+        // both packages select the same mass).
+        let round = if edges { Round::Edges(0.05) } else { Round::Budget(0.05) };
+        let mut p = Package::new();
+        let mut state = p.from_amplitudes(&seeded_state(n, 0, seed)).unwrap();
+        p.inc_ref(state);
+        for k in 0..5 {
+            let amps = p.to_amplitudes(state, n).unwrap();
+            let mut fresh = Package::new();
+            let fresh_root = fresh.from_amplitudes(&amps).unwrap();
+            let want = round.run(&mut fresh, fresh_root).unwrap();
+            let want_amps = fresh.to_amplitudes(want.edge, n).unwrap();
+
+            let got = round.run(&mut p, state).unwrap();
+            prop_assert_eq!(got.removed_nodes, want.removed_nodes, "round {}", k);
+            let got_amps = p.to_amplitudes(got.edge, n).unwrap();
+            for (i, (a, b)) in got_amps.iter().zip(&want_amps).enumerate() {
+                prop_assert!((*a - *b).mag() < 1e-10, "round {k}, amplitude {i}: {a} vs {b}");
+            }
+            p.inc_ref(got.edge);
+            p.dec_ref(state);
+            state = got.edge;
+            p.collect_garbage();
         }
     }
 }
