@@ -13,7 +13,7 @@ use approxdd_circuit::{Circuit, Operation};
 use approxdd_dd::MEdge;
 
 use crate::simulator::{RunResult, SimStats, Simulator};
-use crate::Result;
+use crate::{Result, SimError};
 
 impl Simulator {
     /// Builds the single operation DD of an entire circuit by fusing all
@@ -47,13 +47,14 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Circuit validation or DD engine errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
+    /// [`SimError::InvalidStrategy`] if `window == 0`; circuit
+    /// validation or DD engine errors.
     pub fn run_fused(&mut self, circuit: &Circuit, window: usize) -> Result<RunResult> {
-        assert!(window > 0, "fusion window must be positive");
+        if window == 0 {
+            return Err(SimError::InvalidStrategy {
+                reason: "fusion window must be positive",
+            });
+        }
         circuit.validate()?;
         let span = approxdd_telemetry::Span::enter("dd.run_fused");
         let n = circuit.n_qubits();
@@ -80,7 +81,14 @@ impl Simulator {
             // Fuse the window.
             let mut acc: Option<MEdge> = None;
             for op in chunk {
-                let gate = self.gate_dd(circuit, op)?;
+                // Release the state root on failure, as `run_from` does.
+                let gate = match self.gate_dd(circuit, op) {
+                    Ok(gate) => gate,
+                    Err(e) => {
+                        self.package_mut().dec_ref(state);
+                        return Err(e);
+                    }
+                };
                 acc = Some(match acc {
                     None => gate,
                     Some(prev) => self.package_mut().mul_mm(gate, prev),
@@ -156,6 +164,34 @@ mod tests {
         let seq = sim.run(&circuit).unwrap();
         let f = sim.fidelity_between(&seq, &fused);
         assert!((f - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_window_is_a_typed_error() {
+        let circuit = generators::qft(3);
+        let mut sim = Simulator::builder().exact().build();
+        assert!(matches!(
+            sim.run_fused(&circuit, 0),
+            Err(SimError::InvalidStrategy { .. })
+        ));
+    }
+
+    #[test]
+    fn failed_gate_build_releases_the_state_root() {
+        // A zero-width permutation passes circuit validation but is
+        // rejected by the DD gate builder, after two gates were applied.
+        let mut circuit = Circuit::new(3, "bad_block");
+        circuit.h(0).h(2);
+        circuit.permutation(1, 0, vec![0], &[], "empty");
+        let mut sim = Simulator::builder().exact().build();
+        assert!(sim.run_fused(&circuit, 1).is_err());
+        let p = sim.package_mut();
+        p.collect_garbage();
+        assert_eq!(
+            p.alive_vnodes(),
+            0,
+            "the partial state must not stay rooted"
+        );
     }
 
     /// A small Shor-like circuit without depending on the shor crate

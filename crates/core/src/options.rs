@@ -71,7 +71,9 @@ pub enum Strategy {
     },
     /// Section IV-C: schedule `⌊log_{f_round} f_final⌋` rounds before
     /// simulating, at circuit block markers or evenly spaced, so the
-    /// final fidelity is guaranteed to stay above `final_fidelity`.
+    /// reported final-fidelity estimate stays above `final_fidelity`
+    /// (the true fidelity is not guaranteed to: see
+    /// [`crate::SimStats::fidelity_lower_bound`]).
     FidelityDriven {
         /// Required final fidelity `f_final` in `(0, 1]`.
         final_fidelity: f64,

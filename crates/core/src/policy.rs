@@ -100,10 +100,11 @@ pub struct PolicyCtx {
     /// Approximation rounds performed so far this run.
     pub rounds_taken: usize,
     /// Product of the *target* fidelities of every round fired so far
-    /// that actually removed nodes — the guaranteed floor on the final
-    /// fidelity (1.0 before any round; no-op rounds provably keep
-    /// fidelity 1 and charge nothing). Budget-style policies spend
-    /// against this.
+    /// that actually removed nodes — a floor on the *reported* final
+    /// fidelity estimate, not on the true fidelity (see
+    /// [`crate::SimStats::fidelity_lower_bound`]; 1.0 before any round;
+    /// no-op rounds provably keep fidelity 1 and charge nothing).
+    /// Budget-style policies spend against this.
     pub fidelity_lower_bound: f64,
     /// Product of the *measured* per-round fidelities so far — the
     /// exact estimate [`crate::SimStats::fidelity`] reports (always ≥
@@ -409,8 +410,9 @@ impl ApproxPolicy for MemoryDrivenPolicy {
 /// The paper's Sec. IV-C proactive policy ([`Strategy::FidelityDriven`]
 /// preset): `⌊log_{f_round} f_final⌋` rounds planned before the run via
 /// [`plan_rounds`] (block markers when present, evenly spaced
-/// otherwise), guaranteeing the final fidelity stays above
-/// `final_fidelity`.
+/// otherwise), keeping the reported final-fidelity estimate above
+/// `final_fidelity` (not the true fidelity: see
+/// [`crate::SimStats::fidelity_lower_bound`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FidelityDrivenPolicy {
     final_fidelity: f64,
@@ -477,7 +479,8 @@ impl ApproxPolicy for FidelityDrivenPolicy {
 /// workspace): memory-triggered rounds that **stop approximating once a
 /// final-fidelity budget is spent**. A round fires only when the state
 /// DD exceeds `node_threshold` *and* spending another `round_fidelity`
-/// would keep the guaranteed floor at or above `final_fidelity` — so
+/// would keep the floor on the reported fidelity estimate at or above
+/// `final_fidelity` — so
 /// memory stays bounded while it can, and accuracy wins once the budget
 /// runs out.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -780,7 +783,8 @@ pub enum TraceEvent {
         rounds: usize,
         /// Measured end-to-end fidelity estimate.
         fidelity: f64,
-        /// Guaranteed end-to-end fidelity floor.
+        /// Floor on the reported fidelity estimate (not on the true
+        /// fidelity; see [`crate::SimStats::fidelity_lower_bound`]).
         fidelity_lower_bound: f64,
     },
 }

@@ -40,13 +40,15 @@ pub struct SimStats {
     /// integration suite validates agreement within a few percent on
     /// supremacy workloads. 1.0 for exact runs.
     pub fidelity: f64,
-    /// Guaranteed end-to-end fidelity floor: the product of the
+    /// Floor on the *reported* fidelity estimate: the product of the
     /// *target* fidelities of every fired round that actually removed
     /// nodes (a no-op round provably keeps fidelity exactly 1, so it
     /// charges nothing). Each charged round removes at most
-    /// `1 − target` of contribution mass, so the measured
-    /// [`SimStats::fidelity`] is always ≥ this bound. 1.0 for exact
-    /// runs.
+    /// `1 − target` of contribution mass, so the reported
+    /// [`SimStats::fidelity`] is always ≥ this bound. It is **not** a
+    /// guarantee on the true fidelity against the exact final state: a
+    /// 640-run audit against the dense baseline (ROADMAP, "Fidelity
+    /// audit") found it above the truth in 42 runs. 1.0 for exact runs.
     pub fidelity_lower_bound: f64,
     /// Per-round measured fidelities, in application order.
     pub round_fidelities: Vec<f64>,

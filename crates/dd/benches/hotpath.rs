@@ -103,11 +103,17 @@ fn bench_mul_mv(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_mul_mv");
     for (name, mut p, state) in workloads(12) {
         let h = p.single_gate(12, 5, GateKind::H.matrix()).expect("H");
+        // On the top qubit every level below the target is identity,
+        // which `mul_mv` returns without recursing.
+        let h_top = p.single_gate(12, 11, GateKind::H.matrix()).expect("H");
         let cz = p
             .controlled_gate(12, &[3], 8, GateKind::Z.matrix())
             .expect("CZ");
         group.bench_function(format!("{name}_h_12q"), |b| {
             b.iter(|| std::hint::black_box(p.apply(h, state)));
+        });
+        group.bench_function(format!("{name}_h_top_12q"), |b| {
+            b.iter(|| std::hint::black_box(p.apply(h_top, state)));
         });
         group.bench_function(format!("{name}_cz_12q"), |b| {
             b.iter(|| std::hint::black_box(p.apply(cz, state)));

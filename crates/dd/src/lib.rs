@@ -94,7 +94,7 @@
 //! let amps = [0.2, 0.0, 0.0, 0.979795897113271].map(approxdd_complex::Cplx::real);
 //! let state = p.from_amplitudes(&amps).unwrap();
 //! let result = p.truncate(state, RemovalStrategy::Budget(0.1)).unwrap();
-//! assert!(result.fidelity >= 0.9);           // guaranteed lower bound
+//! assert!(result.fidelity >= 0.9);           // per-round budget: ≥ 1 − 0.1
 //! assert!(result.size_after <= result.size_before);
 //! ```
 

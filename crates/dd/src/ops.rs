@@ -121,6 +121,9 @@ impl Package {
             return VEdge::terminal(m.w * v.w);
         }
         debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
+        if self.is_identity_node(m.node) {
+            return v.scaled(m.w);
+        }
 
         let key = (m.node.0, v.node.0);
         if let Some(cached) = self.ct_mul_mv.lookup(&key) {
@@ -139,6 +142,20 @@ impl Package {
         let res = self.make_vnode(mn.var, r0, r1);
         self.ct_mul_mv.insert(key, res);
         res.scaled(m.w * v.w)
+    }
+
+    /// Whether `node` is the cached identity node of its level
+    /// (`ident_cache[var + 1]`). Gate builders reuse exactly these nodes
+    /// for the `… ⊗ I` part below a target and for control-failure
+    /// fallbacks, so identity levels are detected by one id compare and
+    /// multiplied in O(1). The test reads node ids only, never cache
+    /// state, so results stay independent of compute-cache size.
+    fn is_identity_node(&self, node: NodeId) -> bool {
+        !node.is_terminal()
+            && self
+                .ident_cache
+                .get(usize::from(self.mnode(node).var) + 1)
+                .is_some_and(|e| e.node == node)
     }
 
     // ------------------------------------------------------------------
@@ -160,6 +177,12 @@ impl Package {
             return MEdge::terminal(a.w * b.w);
         }
         debug_assert_eq!(self.mlevel(a), self.mlevel(b), "mul_mm level mismatch");
+        if self.is_identity_node(a.node) {
+            return b.scaled(a.w);
+        }
+        if self.is_identity_node(b.node) {
+            return a.scaled(b.w);
+        }
 
         let key = (a.node.0, b.node.0);
         if let Some(cached) = self.ct_mul_mm.lookup(&key) {

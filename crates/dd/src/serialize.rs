@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use approxdd_complex::Cplx;
+use approxdd_complex::{Cplx, Tolerance};
 
 use crate::edge::{MEdge, NodeId, VEdge};
 use crate::error::DdError;
@@ -27,56 +27,164 @@ use crate::package::Package;
 use crate::Result;
 
 const MAGIC: &str = "approxdd-vdd 1";
+const MAGIC_M: &str = "approxdd-mdd 1";
+
+/// A parsed edge reference: its weight and the local id of its child
+/// (`None` for the terminal).
+type EdgeRef = (Cplx, Option<usize>);
+
+/// A parsed and validated DD text whose nodes have `K` children each
+/// (2 for states, 4 for operators), in children-before-parents order.
+struct ParsedDd<const K: usize> {
+    nodes: Vec<(u8, [EdgeRef; K])>,
+    root: EdgeRef,
+}
+
+/// Writes a DD with `K` children per node. `node_of` returns a node's
+/// var and its child edges as `(weight, node)` pairs.
+fn write_dd<const K: usize>(
+    magic: &str,
+    root: (Cplx, NodeId),
+    node_of: impl Fn(NodeId) -> (u8, [(Cplx, NodeId); K]),
+) -> String {
+    // Topological order: children before parents (post-order DFS).
+    let mut order: Vec<NodeId> = Vec::new();
+    let mut seen: FxHashMap<NodeId, usize> = FxHashMap::default();
+    postorder(root.1, &node_of, &mut order, &mut seen);
+
+    let reference = |node: NodeId| {
+        if node.is_terminal() {
+            "T".to_string()
+        } else {
+            seen[&node].to_string()
+        }
+    };
+    let mut out = String::new();
+    let _ = writeln!(out, "{magic}");
+    let _ = writeln!(out, "nodes {}", order.len());
+    for (local, id) in order.iter().enumerate() {
+        let (var, edges) = node_of(*id);
+        let _ = write!(out, "n {local} {var}");
+        for (w, child) in edges {
+            let _ = write!(out, " {:.17e} {:.17e} {}", w.re, w.im, reference(child));
+        }
+        out.push('\n');
+    }
+    let (w, node) = root;
+    let _ = writeln!(out, "root {:.17e} {:.17e} {}", w.re, w.im, reference(node));
+    out
+}
+
+fn postorder<const K: usize>(
+    node: NodeId,
+    node_of: &impl Fn(NodeId) -> (u8, [(Cplx, NodeId); K]),
+    order: &mut Vec<NodeId>,
+    seen: &mut FxHashMap<NodeId, usize>,
+) {
+    if node.is_terminal() || seen.contains_key(&node) {
+        return;
+    }
+    for (_, child) in node_of(node).1 {
+        postorder(child, node_of, order, seen);
+    }
+    seen.insert(node, order.len());
+    order.push(node);
+}
+
+/// Parses a DD text with `K` children per node and validates everything
+/// that does not need the target package: dense ids, backward child
+/// references, finite weights, and that every non-zero child sits one
+/// level below its parent (a terminal child only below var 0).
+fn parse_dd<const K: usize>(
+    text: &str,
+    magic: &str,
+    tol: Tolerance,
+    malformed: impl Fn(&'static str) -> DdError,
+) -> Result<ParsedDd<K>> {
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    if lines.next().map(str::trim) != Some(magic) {
+        return Err(malformed("missing or unsupported format header"));
+    }
+    let count: usize = lines
+        .next()
+        .and_then(|l| l.trim().strip_prefix("nodes "))
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| malformed("missing node count"))?;
+
+    // A reference to local node `i` has level `nodes[i].0 + 1` (its
+    // declared var plus one); the terminal has level 0.
+    let mut nodes: Vec<(u8, [EdgeRef; K])> = Vec::new();
+    let edge_ref = |tok: &mut std::str::SplitWhitespace<'_>, nodes: &[(u8, [EdgeRef; K])]| {
+        let mut component = || {
+            tok.next()
+                .and_then(|v| v.parse::<f64>().ok())
+                .ok_or_else(|| malformed("bad weight"))
+        };
+        let w = Cplx::new(component()?, component()?);
+        if !w.is_finite() {
+            return Err(malformed("non-finite weight"));
+        }
+        let target = match tok.next().ok_or_else(|| malformed("missing child"))? {
+            "T" => None,
+            id => {
+                let idx: usize = id.parse().map_err(|_| malformed("bad child id"))?;
+                if idx >= nodes.len() {
+                    return Err(malformed("forward child reference"));
+                }
+                Some(idx)
+            }
+        };
+        let level = target.map_or(0, |i| usize::from(nodes[i].0) + 1);
+        Ok(((w, target), level))
+    };
+
+    for _ in 0..count {
+        let line = lines
+            .next()
+            .ok_or_else(|| malformed("truncated node list"))?;
+        let mut tok = line.split_whitespace();
+        if tok.next() != Some("n") {
+            return Err(malformed("expected node line"));
+        }
+        let local: usize = tok
+            .next()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| malformed("bad local id"))?;
+        if local != nodes.len() {
+            return Err(malformed("node ids must be dense and ascending"));
+        }
+        let var: u8 = tok
+            .next()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| malformed("bad var"))?;
+        let mut children = [(Cplx::ZERO, None); K];
+        for child in &mut children {
+            let (edge, level) = edge_ref(&mut tok, &nodes)?;
+            if level != usize::from(var) && !tol.is_zero(edge.0) {
+                return Err(malformed("child is not one level below its parent"));
+            }
+            *child = edge;
+        }
+        nodes.push((var, children));
+    }
+
+    let root_line = lines.next().ok_or_else(|| malformed("missing root line"))?;
+    let mut tok = root_line.split_whitespace();
+    if tok.next() != Some("root") {
+        return Err(malformed("expected root line"));
+    }
+    let (root, _) = edge_ref(&mut tok, &nodes)?;
+    Ok(ParsedDd { nodes, root })
+}
 
 impl Package {
     /// Serializes a state DD to the textual format.
     #[must_use]
     pub fn serialize_state(&self, root: VEdge) -> String {
-        // Topological order: children before parents (post-order DFS).
-        let mut order: Vec<NodeId> = Vec::new();
-        let mut seen: FxHashMap<NodeId, usize> = FxHashMap::default();
-        self.postorder(root.node, &mut order, &mut seen);
-
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC}");
-        let _ = writeln!(out, "nodes {}", order.len());
-        for (local, id) in order.iter().enumerate() {
-            let node = self.vnode(*id);
-            let _ = write!(out, "n {local} {}", node.var);
-            for e in node.edges {
-                let child = if e.node.is_terminal() {
-                    "T".to_string()
-                } else {
-                    seen[&e.node].to_string()
-                };
-                let _ = write!(out, " {:.17e} {:.17e} {child}", e.w.re, e.w.im);
-            }
-            out.push('\n');
-        }
-        let root_ref = if root.node.is_terminal() {
-            "T".to_string()
-        } else {
-            seen[&root.node].to_string()
-        };
-        let _ = writeln!(out, "root {:.17e} {:.17e} {root_ref}", root.w.re, root.w.im);
-        out
-    }
-
-    fn postorder(
-        &self,
-        node: NodeId,
-        order: &mut Vec<NodeId>,
-        seen: &mut FxHashMap<NodeId, usize>,
-    ) {
-        if node.is_terminal() || seen.contains_key(&node) {
-            return;
-        }
-        let n = *self.vnode(node);
-        for e in n.edges {
-            self.postorder(e.node, order, seen);
-        }
-        seen.insert(node, order.len());
-        order.push(node);
+        write_dd(MAGIC, (root.w, root.node), |id| {
+            let n = self.vnode(id);
+            (n.var, n.edges.map(|e| (e.w, e.node)))
+        })
     }
 
     /// Deserializes a state DD, rebuilding nodes canonically in this
@@ -84,248 +192,74 @@ impl Package {
     ///
     /// # Errors
     ///
-    /// [`DdError::InvalidAmplitudes`] on malformed input (the reason
-    /// string describes the first offending construct).
+    /// [`DdError::InvalidAmplitudes`] on malformed input, including
+    /// non-finite weights and children that do not sit one level below
+    /// their parent (the reason string describes the first offending
+    /// construct).
     pub fn deserialize_state(&mut self, text: &str) -> Result<VEdge> {
         let malformed = |reason: &'static str| DdError::InvalidAmplitudes { reason };
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        if lines.next().map(str::trim) != Some(MAGIC) {
-            return Err(malformed("missing or unsupported format header"));
-        }
-        let count: usize = lines
-            .next()
-            .and_then(|l| l.trim().strip_prefix("nodes "))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("missing node count"))?;
-
-        let mut edges_by_local: Vec<VEdge> = Vec::with_capacity(count);
-        for _ in 0..count {
-            let line = lines
-                .next()
-                .ok_or_else(|| malformed("truncated node list"))?;
-            let mut tok = line.split_whitespace();
-            if tok.next() != Some("n") {
-                return Err(malformed("expected node line"));
-            }
-            let local: usize = tok
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| malformed("bad local id"))?;
-            if local != edges_by_local.len() {
-                return Err(malformed("node ids must be dense and ascending"));
-            }
-            let var: u8 = tok
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| malformed("bad var"))?;
-            let mut children = [VEdge::ZERO; 2];
-            for child in &mut children {
-                let re: f64 = tok
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| malformed("bad weight"))?;
-                let im: f64 = tok
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| malformed("bad weight"))?;
-                let target = tok.next().ok_or_else(|| malformed("missing child"))?;
-                let edge = if target == "T" {
-                    VEdge::terminal(Cplx::new(re, im))
-                } else {
-                    let idx: usize = target.parse().map_err(|_| malformed("bad child id"))?;
-                    let base = *edges_by_local
-                        .get(idx)
-                        .ok_or_else(|| malformed("forward child reference"))?;
-                    base.scaled(Cplx::new(re, im))
-                };
-                *child = if self.tolerance().is_zero(edge.w) {
-                    VEdge::ZERO
-                } else {
-                    edge
-                };
-            }
-            let rebuilt = self.make_vnode(var, children[0], children[1]);
-            edges_by_local.push(rebuilt);
-        }
-
-        let root_line = lines.next().ok_or_else(|| malformed("missing root line"))?;
-        let mut tok = root_line.split_whitespace();
-        if tok.next() != Some("root") {
-            return Err(malformed("expected root line"));
-        }
-        let re: f64 = tok
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("bad root weight"))?;
-        let im: f64 = tok
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("bad root weight"))?;
-        let target = tok.next().ok_or_else(|| malformed("missing root node"))?;
-        let w = Cplx::new(re, im);
-        if target == "T" {
-            return Ok(if self.tolerance().is_zero(w) {
-                VEdge::ZERO
+        let parsed = parse_dd::<2>(text, MAGIC, self.tolerance(), malformed)?;
+        let mut built: Vec<VEdge> = Vec::with_capacity(parsed.nodes.len());
+        let resolve = |p: &Package, built: &[VEdge], (w, target): EdgeRef| {
+            let edge = target.map_or(VEdge::terminal(w), |i| built[i].scaled(w));
+            if !edge.w.is_finite() {
+                Err(malformed("weight overflows"))
+            } else if p.tolerance().is_zero(edge.w) {
+                Ok(VEdge::ZERO)
             } else {
-                VEdge::terminal(w)
-            });
+                Ok(edge)
+            }
+        };
+        for (var, [c0, c1]) in parsed.nodes {
+            let e0 = resolve(self, &built, c0)?;
+            let e1 = resolve(self, &built, c1)?;
+            let rebuilt = self.make_vnode(var, e0, e1);
+            built.push(rebuilt);
         }
-        let idx: usize = target.parse().map_err(|_| malformed("bad root id"))?;
-        let base = *edges_by_local
-            .get(idx)
-            .ok_or_else(|| malformed("root references unknown node"))?;
-        Ok(base.scaled(w))
+        resolve(self, &built, parsed.root)
     }
-}
 
-const MAGIC_M: &str = "approxdd-mdd 1";
-
-impl Package {
     /// Serializes an operation (matrix) DD to the textual format —
     /// persisting expensive gate constructions (e.g. Shor's modular
     /// multiplications) across processes.
     #[must_use]
     pub fn serialize_operator(&self, root: MEdge) -> String {
-        let mut order: Vec<NodeId> = Vec::new();
-        let mut seen: FxHashMap<NodeId, usize> = FxHashMap::default();
-        self.postorder_m(root.node, &mut order, &mut seen);
-
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_M}");
-        let _ = writeln!(out, "nodes {}", order.len());
-        for (local, id) in order.iter().enumerate() {
-            let node = self.mnode(*id);
-            let _ = write!(out, "n {local} {}", node.var);
-            for e in node.edges {
-                let child = if e.node.is_terminal() {
-                    "T".to_string()
-                } else {
-                    seen[&e.node].to_string()
-                };
-                let _ = write!(out, " {:.17e} {:.17e} {child}", e.w.re, e.w.im);
-            }
-            out.push('\n');
-        }
-        let root_ref = if root.node.is_terminal() {
-            "T".to_string()
-        } else {
-            seen[&root.node].to_string()
-        };
-        let _ = writeln!(out, "root {:.17e} {:.17e} {root_ref}", root.w.re, root.w.im);
-        out
-    }
-
-    fn postorder_m(
-        &self,
-        node: NodeId,
-        order: &mut Vec<NodeId>,
-        seen: &mut FxHashMap<NodeId, usize>,
-    ) {
-        if node.is_terminal() || seen.contains_key(&node) {
-            return;
-        }
-        let n = *self.mnode(node);
-        for e in n.edges {
-            self.postorder_m(e.node, order, seen);
-        }
-        seen.insert(node, order.len());
-        order.push(node);
+        write_dd(MAGIC_M, (root.w, root.node), |id| {
+            let n = self.mnode(id);
+            (n.var, n.edges.map(|e| (e.w, e.node)))
+        })
     }
 
     /// Deserializes an operation DD (see [`Package::serialize_operator`]).
     ///
     /// # Errors
     ///
-    /// [`DdError::InvalidMatrix`] on malformed input.
+    /// [`DdError::InvalidMatrix`] on malformed input, including
+    /// non-finite weights and children that do not sit one level below
+    /// their parent.
     pub fn deserialize_operator(&mut self, text: &str) -> Result<MEdge> {
         let malformed = |reason: &'static str| DdError::InvalidMatrix { reason };
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        if lines.next().map(str::trim) != Some(MAGIC_M) {
-            return Err(malformed("missing or unsupported format header"));
-        }
-        let count: usize = lines
-            .next()
-            .and_then(|l| l.trim().strip_prefix("nodes "))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("missing node count"))?;
-
-        let mut edges_by_local: Vec<MEdge> = Vec::with_capacity(count);
-        for _ in 0..count {
-            let line = lines
-                .next()
-                .ok_or_else(|| malformed("truncated node list"))?;
-            let mut tok = line.split_whitespace();
-            if tok.next() != Some("n") {
-                return Err(malformed("expected node line"));
-            }
-            let local: usize = tok
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| malformed("bad local id"))?;
-            if local != edges_by_local.len() {
-                return Err(malformed("node ids must be dense and ascending"));
-            }
-            let var: u8 = tok
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| malformed("bad var"))?;
-            let mut children = [MEdge::ZERO; 4];
-            for child in &mut children {
-                let re: f64 = tok
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| malformed("bad weight"))?;
-                let im: f64 = tok
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| malformed("bad weight"))?;
-                let target = tok.next().ok_or_else(|| malformed("missing child"))?;
-                let edge = if target == "T" {
-                    MEdge::terminal(Cplx::new(re, im))
-                } else {
-                    let idx: usize = target.parse().map_err(|_| malformed("bad child id"))?;
-                    let base = *edges_by_local
-                        .get(idx)
-                        .ok_or_else(|| malformed("forward child reference"))?;
-                    base.scaled(Cplx::new(re, im))
-                };
-                *child = if self.tolerance().is_zero(edge.w) {
-                    MEdge::ZERO
-                } else {
-                    edge
-                };
-            }
-            let rebuilt = self.make_mnode(var, children);
-            edges_by_local.push(rebuilt);
-        }
-
-        let root_line = lines.next().ok_or_else(|| malformed("missing root line"))?;
-        let mut tok = root_line.split_whitespace();
-        if tok.next() != Some("root") {
-            return Err(malformed("expected root line"));
-        }
-        let re: f64 = tok
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("bad root weight"))?;
-        let im: f64 = tok
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed("bad root weight"))?;
-        let target = tok.next().ok_or_else(|| malformed("missing root node"))?;
-        let w = Cplx::new(re, im);
-        if target == "T" {
-            return Ok(if self.tolerance().is_zero(w) {
-                MEdge::ZERO
+        let parsed = parse_dd::<4>(text, MAGIC_M, self.tolerance(), malformed)?;
+        let mut built: Vec<MEdge> = Vec::with_capacity(parsed.nodes.len());
+        let resolve = |p: &Package, built: &[MEdge], (w, target): EdgeRef| {
+            let edge = target.map_or(MEdge::terminal(w), |i| built[i].scaled(w));
+            if !edge.w.is_finite() {
+                Err(malformed("weight overflows"))
+            } else if p.tolerance().is_zero(edge.w) {
+                Ok(MEdge::ZERO)
             } else {
-                MEdge::terminal(w)
-            });
+                Ok(edge)
+            }
+        };
+        for (var, children) in parsed.nodes {
+            let mut edges = [MEdge::ZERO; 4];
+            for (e, c) in edges.iter_mut().zip(children) {
+                *e = resolve(self, &built, c)?;
+            }
+            let rebuilt = self.make_mnode(var, edges);
+            built.push(rebuilt);
         }
-        let idx: usize = target.parse().map_err(|_| malformed("bad root id"))?;
-        let base = *edges_by_local
-            .get(idx)
-            .ok_or_else(|| malformed("root references unknown node"))?;
-        Ok(base.scaled(w))
+        resolve(self, &built, parsed.root)
     }
 }
 
@@ -447,5 +381,56 @@ mod tests {
         assert!(p
             .deserialize_state("approxdd-vdd 1\nnodes 0\nroot 1 0 5\n")
             .is_err());
+    }
+
+    fn invalid_amplitudes(r: Result<VEdge>) -> bool {
+        matches!(r, Err(DdError::InvalidAmplitudes { .. }))
+    }
+
+    #[test]
+    fn state_rejects_non_finite_weights() {
+        let mut p = Package::new();
+        let nan_child = "approxdd-vdd 1\nnodes 1\nn 0 0 NaN 0 T 1 0 T\nroot 1 0 0\n";
+        assert!(invalid_amplitudes(p.deserialize_state(nan_child)));
+        let inf_root = "approxdd-vdd 1\nnodes 1\nn 0 0 1 0 T 0 0 T\nroot inf 0 0\n";
+        assert!(invalid_amplitudes(p.deserialize_state(inf_root)));
+        let inf_terminal_root = "approxdd-vdd 1\nnodes 0\nroot 0 -inf T\n";
+        assert!(invalid_amplitudes(p.deserialize_state(inf_terminal_root)));
+        // Finite weights whose product overflows are rejected too.
+        let overflow = "approxdd-vdd 1\nnodes 1\nn 0 0 1e200 0 T 0 0 T\nroot 1e200 0 0\n";
+        assert!(invalid_amplitudes(p.deserialize_state(overflow)));
+    }
+
+    #[test]
+    fn state_rejects_children_at_the_wrong_level() {
+        let mut p = Package::new();
+        // Node 1 claims var 2 but its child (var 0) sits two levels down.
+        let skip = "approxdd-vdd 1\nnodes 2\nn 0 0 1 0 T 0 0 T\nn 1 2 1 0 0 0 0 T\nroot 1 0 1\n";
+        assert!(invalid_amplitudes(p.deserialize_state(skip)));
+        // A non-zero terminal child is only allowed directly above the terminal.
+        let high_terminal = "approxdd-vdd 1\nnodes 1\nn 0 3 1 0 T 0 0 T\nroot 1 0 0\n";
+        assert!(invalid_amplitudes(p.deserialize_state(high_terminal)));
+        // Zero stubs are level-agnostic.
+        let zero_stub =
+            "approxdd-vdd 1\nnodes 2\nn 0 0 1 0 T 0 0 T\nn 1 1 1 0 0 0 0 T\nroot 1 0 1\n";
+        let e = p.deserialize_state(zero_stub).unwrap();
+        assert!((p.probability(e, 0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn operator_rejects_non_finite_weights_and_bad_levels() {
+        let mut p = Package::new();
+        let invalid = |r: Result<MEdge>| matches!(r, Err(DdError::InvalidMatrix { .. }));
+        let nan = "approxdd-mdd 1\nnodes 1\nn 0 0 1 0 T 0 0 T 0 0 T nan 0 T\nroot 1 0 0\n";
+        assert!(invalid(p.deserialize_operator(nan)));
+        let inf_root = "approxdd-mdd 1\nnodes 1\nn 0 0 1 0 T 0 0 T 0 0 T 1 0 T\nroot 0 inf 0\n";
+        assert!(invalid(p.deserialize_operator(inf_root)));
+        let skip = "approxdd-mdd 1\nnodes 2\nn 0 0 1 0 T 0 0 T 0 0 T 1 0 T\n\
+                    n 1 5 1 0 0 0 0 T 0 0 T 1 0 0\nroot 1 0 1\n";
+        assert!(invalid(p.deserialize_operator(skip)));
+        let ok = "approxdd-mdd 1\nnodes 2\nn 0 0 1 0 T 0 0 T 0 0 T 1 0 T\n\
+                  n 1 1 1 0 0 0 0 T 0 0 T 1 0 0\nroot 1 0 1\n";
+        let id = p.deserialize_operator(ok).unwrap();
+        assert_eq!(id.node, p.identity(2).node);
     }
 }

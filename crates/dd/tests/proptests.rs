@@ -3,7 +3,7 @@
 //! of constructed gates, and the approximation guarantees.
 
 use approxdd_complex::Cplx;
-use approxdd_dd::{GateKind, NodeId, Package, RemovalStrategy, TruncationResult, VEdge};
+use approxdd_dd::{GateKind, MEdge, NodeId, Package, RemovalStrategy, TruncationResult, VEdge};
 use proptest::prelude::*;
 
 /// A random complex amplitude vector of dimension `2^n`, normalized.
@@ -120,8 +120,173 @@ fn random_gate() -> impl Strategy<Value = GateKind> {
     ]
 }
 
+/// A gate on an `n`-qubit register with its dense reference semantics:
+/// the body fires on basis states whose `(qubit, polarity)` controls are
+/// all satisfied and acts as the identity elsewhere.
+#[derive(Debug)]
+struct RandomGate {
+    controls: Vec<(usize, bool)>,
+    body: GateBody,
+}
+
+#[derive(Debug)]
+enum GateBody {
+    Single {
+        target: usize,
+        u: [[Cplx; 2]; 2],
+    },
+    Perm {
+        lo: usize,
+        k: usize,
+        perm: Vec<usize>,
+    },
+}
+
+impl RandomGate {
+    /// Draws an uncontrolled single-qubit gate, a controlled single-qubit
+    /// gate (controls on random qubits above and below the target, random
+    /// polarity), or a controlled permutation of a contiguous block. A
+    /// target or block sits on the bottom qubit, the top qubit, or a
+    /// random position with equal odds.
+    fn draw(n: usize, s: &mut u64) -> Self {
+        let mut pick = |m: usize| (splitmix(s) % m as u64) as usize;
+        let kind = pick(3);
+        let k = if kind == 2 { 1 + pick(n.min(3)) } else { 1 };
+        let lo = match pick(3) {
+            0 => 0,
+            1 => n - k,
+            _ => pick(n - k + 1),
+        };
+        let mut controls = Vec::new();
+        if kind != 0 {
+            for q in (0..n).filter(|q| !(lo..lo + k).contains(q)) {
+                if pick(3) == 0 {
+                    controls.push((q, pick(2) == 0));
+                }
+            }
+        }
+        let body = if kind == 2 {
+            let mut perm: Vec<usize> = (0..1 << k).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, pick(i + 1));
+            }
+            GateBody::Perm { lo, k, perm }
+        } else {
+            let theta = pick(6283) as f64 / 1000.0 - 3.0;
+            let gate = [
+                GateKind::X,
+                GateKind::Y,
+                GateKind::H,
+                GateKind::T,
+                GateKind::SxGate,
+                GateKind::Phase(theta),
+                GateKind::Rx(theta),
+                GateKind::Ry(theta),
+            ][pick(8)];
+            GateBody::Single {
+                target: lo,
+                u: gate.matrix(),
+            }
+        };
+        Self { controls, body }
+    }
+
+    fn build(&self, p: &mut Package, n: usize) -> MEdge {
+        match &self.body {
+            GateBody::Single { target, u } => {
+                p.controlled_gate_polarized(n, &self.controls, *target, *u)
+            }
+            GateBody::Perm { lo, k, perm } => p.permutation_gate(n, *lo, *k, perm, &self.controls),
+        }
+        .unwrap()
+    }
+
+    fn apply_dense(&self, amps: &[Cplx]) -> Vec<Cplx> {
+        let fires = |i: usize| {
+            self.controls
+                .iter()
+                .all(|&(q, pol)| ((i >> q) & 1 == 1) == pol)
+        };
+        let mut out = amps.to_vec();
+        match &self.body {
+            GateBody::Single { target, u } => {
+                let t = 1usize << target;
+                for i in (0..amps.len()).filter(|&i| i & t == 0 && fires(i)) {
+                    let (a0, a1) = (amps[i], amps[i | t]);
+                    out[i] = u[0][0] * a0 + u[0][1] * a1;
+                    out[i | t] = u[1][0] * a0 + u[1][1] * a1;
+                }
+            }
+            GateBody::Perm { lo, k, perm } => {
+                let mask = ((1usize << k) - 1) << lo;
+                for i in (0..amps.len()).filter(|&i| fires(i)) {
+                    let c = (i & mask) >> lo;
+                    out[(i & !mask) | (perm[c] << lo)] = amps[i];
+                }
+            }
+        }
+        out
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn identity_application_returns_the_state_bit_for_bit(
+        n in 1usize..11,
+        kind in 0usize..3,
+        seed in any::<u64>(),
+        theta in -3.0f64..3.0
+    ) {
+        let mut p = Package::new();
+        let v = p.from_amplitudes(&seeded_state(n, kind, seed)).unwrap();
+        let id = p.identity(n);
+        let before = p.stats().ct_mul_mv;
+        prop_assert_eq!(p.apply(id, v), v);
+        // A global phase on the operator lands on the edge weight only.
+        let phase = Cplx::from_polar(1.0, theta);
+        prop_assert_eq!(p.apply(id.scaled(phase), v), v.scaled(phase));
+        // O(1): the identity never reaches the compute cache.
+        prop_assert_eq!(p.stats().ct_mul_mv, before);
+    }
+
+    #[test]
+    fn identity_is_neutral_in_mul_mm(n in 1usize..9, seed in any::<u64>()) {
+        let mut s = seed;
+        let mut p = Package::new();
+        let g = RandomGate::draw(n, &mut s).build(&mut p, n);
+        let id = p.identity(n);
+        let before = p.stats().ct_mul_mm;
+        prop_assert_eq!(p.mul_mm(id, g), g);
+        prop_assert_eq!(p.mul_mm(g, id), g);
+        prop_assert_eq!(p.stats().ct_mul_mm, before);
+    }
+
+    #[test]
+    fn random_gates_match_the_dense_reference(
+        n in 1usize..11,
+        kind in 0usize..3,
+        seed in any::<u64>()
+    ) {
+        let mut s = seed;
+        let mut want = seeded_state(n, kind, seed);
+        let mut p = Package::new();
+        let mut state = p.from_amplitudes(&want).unwrap();
+        for step in 0..6 {
+            let gate = RandomGate::draw(n, &mut s);
+            let dd = gate.build(&mut p, n);
+            state = p.apply(dd, state);
+            want = gate.apply_dense(&want);
+            let got = p.to_amplitudes(state, n).unwrap();
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(
+                    (*a - *b).mag() < 1e-10,
+                    "step {step}, {gate:?}: amplitude {i}: {a} vs {b}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_preserves_amplitudes(amps in unit_state(4)) {

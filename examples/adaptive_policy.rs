@@ -24,12 +24,12 @@ use approxdd::sim::{
 
 /// Truncate when the DD doubled since the last round, scaling the
 /// round's aggressiveness with how hot the growth is, but never let
-/// the guaranteed fidelity floor drop below `min_fidelity`.
+/// the floor on the reported fidelity estimate drop below `min_fidelity`.
 #[derive(Debug, Clone)]
 struct GrowthAdaptivePolicy {
     /// Node count at the last round (or the run start).
     last_round_nodes: usize,
-    /// Never truncate below this guaranteed floor.
+    /// Never truncate below this floor on the reported fidelity.
     min_fidelity: f64,
 }
 
@@ -69,7 +69,7 @@ impl ApproxPolicy for GrowthAdaptivePolicy {
             return PolicyAction::Continue;
         }
         // Doubled: truncate, harder the further past 2x we overshot —
-        // but clamp so the guaranteed floor stays above min_fidelity.
+        // but clamp so the fidelity floor stays above min_fidelity.
         let overshoot = ctx.live_nodes as f64 / self.last_round_nodes as f64;
         let round_fidelity = (1.0 - 0.01 * overshoot).clamp(0.9, 0.999);
         if ctx.fidelity_lower_bound * round_fidelity < self.min_fidelity {
